@@ -9,10 +9,8 @@
 // The daemon is a memory front tier over the segment-packed disk store
 // (internal/store/segment) behind the store.CacheServer protocol: a
 // fleet GET that misses memory is one index probe plus one pread into
-// an append-only segment file, entries survive restarts (recovery is a
-// single sequential segment scan), and a directory written by an older
-// file-per-entry build is migrated into segments on first open.
-// Consistency needs no coordination — keys are content addresses, so an
+// an append-only segment file, and entries survive restarts (recovery
+// is a single sequential segment scan). Consistency needs no coordination — keys are content addresses, so an
 // entry can only ever be correct for the inputs that produced it;
 // invalidation (POST /invalidate, issued by replicas applying
 // changesets) is garbage collection of unreachable keys, not a
@@ -105,9 +103,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kcached:", err)
 		os.Exit(1)
-	}
-	if n := disk.Migrated(); n > 0 {
-		log.Printf("kcached: migrated %d file-per-entry records into segments", n)
 	}
 	// The daemon's store is a memory front tier over the segment disk
 	// store: a hot fleet GET never touches the segment log at all, a

@@ -5,11 +5,11 @@
 // This is the deployment shape the paper's §5 scans want: checker
 // synthesis and refinement issue many near-identical scans of the same
 // tree, and a warm daemon answers repeats from cache instead of
-// re-executing the analyzer. The corpus is multi-version: POST /patch
-// applies a single-file code update, POST /changeset applies a
-// commit-sized multi-file changeset atomically (one snapshot swap, one
-// generation bump; "async": true returns a generation token
-// immediately), and only the touched functions go cold. Scans pin an
+// re-executing the analyzer. The corpus is multi-version: POST
+// /changeset applies a commit-sized multi-file changeset atomically
+// (one snapshot swap, one generation bump; "async": true returns a
+// generation token immediately), and only the touched functions go
+// cold. Scans pin an
 // immutable snapshot at admission and run lock-free, so writes never
 // stall reads and reads never drain writes. POST /batch evaluates N
 // checker revisions in one request over a bounded worker pool
@@ -17,10 +17,9 @@
 // snapshot.
 //
 // The read endpoints (/scan, /batch) sit behind a bounded admission
-// queue (-max-inflight, -max-queued); the write endpoints (/patch,
-// /changeset) behind their own gate (-max-inflight-writes,
-// -max-queued-writes) — so a changeset storm sheds writes, never
-// reads. Excess load is shed with 429 + Retry-After instead of being
+// queue (-max-inflight, -max-queued); the write endpoint (/changeset)
+// behind its own gate (-max-inflight-writes, -max-queued-writes) — so a
+// changeset storm sheds writes, never reads. Excess load is shed with 429 + Retry-After instead of being
 // buffered without bound. -max-cost/-max-cost-writes add a
 // cost-weighted budget on top (checkers × files for reads, ops for
 // writes), so one enormous batch can't starve the gate that a
@@ -60,7 +59,6 @@
 //
 //	POST /scan             {"checker": "<DSL text>", "files": [...], "min_generation": n, ...}
 //	POST /batch            {"checkers": ["<DSL>", ...], "concurrency": n, ...}
-//	POST /patch            {"path": "...", "func": "...", "source": "..."}
 //	POST /changeset        {"changes": [{"path", "func?", "source"}, ...], "async": bool}
 //	GET  /changeset/status ?generation=N  async changeset outcome
 //	POST /converge         replay the generation feed to catch this shard up
@@ -114,7 +112,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", runtime.GOMAXPROCS(0), "max concurrent read requests (/scan, /batch) (0 = unlimited, no admission control)")
 	maxQueued := flag.Int("max-queued", 64, "max read requests waiting for an inflight slot before shedding with 429")
 	maxQueuedPerClient := flag.Int("max-queued-per-client", 16, "max queued requests per client key (X-Client-ID header or remote address; 0 = unbounded)")
-	maxInflightWrites := flag.Int("max-inflight-writes", 1, "max concurrent write requests (/patch, /changeset); writes serialize on the corpus commit lock anyway (0 = ungated)")
+	maxInflightWrites := flag.Int("max-inflight-writes", 1, "max concurrent write requests (/changeset); writes serialize on the corpus commit lock anyway (0 = ungated)")
 	maxQueuedWrites := flag.Int("max-queued-writes", 32, "max write requests waiting before shedding with 429")
 	maxCost := flag.Int64("max-cost", 0, "max summed cost weight (checkers x files) of admitted read requests (0 = unweighted admission)")
 	maxCostWrites := flag.Int64("max-cost-writes", 0, "max summed cost weight (changeset ops) of admitted write requests (0 = unweighted)")
@@ -181,9 +179,6 @@ func main() {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kserve:", err)
 			os.Exit(1)
-		}
-		if n := disk.Migrated(); n > 0 {
-			log.Printf("kserve: disk cache: migrated %d file-per-entry records into segments", n)
 		}
 		backDisk = store.Instrument(reg, "disk", disk)
 	} else if *cacheMaxBytes > 0 {
@@ -333,7 +328,7 @@ type server struct {
 	// when a request does not set its own.
 	funcTimeout time.Duration
 	// adm gates the read endpoints (/scan, /batch); wadm gates the write
-	// endpoints (/patch, /changeset). Separate gates are the point:
+	// endpoints (/changeset, /converge). Separate gates are the point:
 	// since scans pin MVCC snapshots and never block on writers, a
 	// changeset storm saturating wadm sheds writes while reads keep
 	// flowing untouched — and vice versa. nil = no admission control.
@@ -373,7 +368,6 @@ type server struct {
 
 	scans           atomic.Int64
 	batches         atomic.Int64
-	patches         atomic.Int64
 	changesets      atomic.Int64
 	asyncChangesets atomic.Int64
 	scanErrors      atomic.Int64
@@ -402,8 +396,8 @@ func (s *server) setGates(read, write *admission) {
 }
 
 // asyncInvalidate wraps the remote tier so corpus mutations never stall
-// on a network round-trip: /patch and /changeset invalidate the store
-// after their generation commits, and a slow or dead kcached would
+// on a network round-trip: /changeset invalidates the store after its
+// generation commits, and a slow or dead kcached would
 // otherwise hold the mutation response for the remote timeout. Safe to
 // defer because remote invalidation is garbage collection, not a
 // correctness mechanism — content addressing means the orphaned keys
@@ -437,7 +431,7 @@ func (s *server) startDiskGC(ctx context.Context, disk *store.SegmentDisk, ttl t
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	// Reads (/scan, /batch) and writes (/patch, /changeset) go through
+	// Reads (/scan, /batch) and writes (/changeset, /converge) go through
 	// SEPARATE admission gates: scans pin MVCC snapshots and never wait
 	// on a writer, so there is no reason to let a changeset storm's
 	// queue shed a read (or a batch flood shed a commit). /stats,
@@ -452,7 +446,6 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("/changeset", s.withObs("changeset", s.wadm.wrap(s.handleChangeset)))
 	mux.HandleFunc("/changeset/status", s.handleChangesetStatus)
 	mux.HandleFunc("/converge", s.withObs("converge", s.wadm.wrap(s.handleConverge)))
-	mux.HandleFunc("/patch", s.withObs("patch", s.wadm.wrap(s.handlePatch)))
 	mux.HandleFunc("/stats", s.handleStats)
 	// The trace endpoints stay outside the gates with /stats: they are
 	// the triage path, needed exactly when the daemon is drowning.
@@ -724,64 +717,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeOK(w, resp.Generation, resp)
 }
 
-func (s *server) handlePatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, api.ErrMethodNotAllowed, "POST only")
-		return
-	}
-	var req api.PatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.scanErrors.Add(1)
-		s.httpError(w, http.StatusBadRequest, api.ErrBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if req.Path == "" || req.Source == "" {
-		s.scanErrors.Add(1)
-		s.httpError(w, http.StatusBadRequest, api.ErrBadRequest, "missing 'path' or 'source'")
-		return
-	}
-	// Write cost is ops: one for a patch.
-	release, ok := s.wadm.admitCost(w, 1)
-	if !ok {
-		return
-	}
-	defer release()
-
-	// No request-wide lock: the mutation is an MVCC commit — in-flight
-	// scans keep their pinned snapshots; the next admitted scan pins the
-	// new generation.
-	start := time.Now()
-	var m *scan.Mutation
-	var err error
-	mode := "replace"
-	if req.Func != "" {
-		mode = "patch"
-		m, err = s.inc.Patch(req.Path, req.Func, req.Source)
-	} else {
-		m, err = s.inc.Replace(req.Path, req.Source)
-	}
-	if err != nil {
-		s.scanErrors.Add(1)
-		s.httpError(w, http.StatusUnprocessableEntity, api.ErrUnprocessable, err.Error())
-		return
-	}
-	s.patches.Add(1)
-	s.observeCommit(time.Since(start))
-	// A patch is a one-change commit to the fleet feed, so sharded peers
-	// converge on it the same way they do on changesets.
-	s.shardPublish(r.Context(), m.Generation, []api.Change{{Path: req.Path, Func: req.Func, Source: req.Source}})
-	s.writeOK(w, m.Generation, &api.PatchResponse{
-		Path:             m.Path,
-		Mode:             mode,
-		Funcs:            m.Funcs,
-		ChangedFuncs:     m.Changed,
-		StaleHashes:      len(m.StaleHashes),
-		StoreInvalidated: m.StoreInvalidated,
-		Generation:       m.Generation,
-		ElapsedMS:        float64(time.Since(start).Microseconds()) / 1000,
-	})
-}
-
 func (s *server) handleChangeset(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.httpError(w, http.StatusMethodNotAllowed, api.ErrMethodNotAllowed, "POST only")
@@ -980,7 +915,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PinnedSnapshots: cb.PinnedSnapshots(),
 		Scans:           s.scans.Load(),
 		Batches:         s.batches.Load(),
-		Patches:         s.patches.Load(),
 		Changesets:      s.changesets.Load(),
 		AsyncChangesets: s.asyncChangesets.Load(),
 		ScanErrors:      s.scanErrors.Load(),
@@ -1060,9 +994,7 @@ func (s *server) writeOK(w http.ResponseWriter, gen int64, v any) {
 	s.writeJSONGen(w, http.StatusOK, gen, v)
 }
 
-// writeError writes the uniform error envelope. The flat message is
-// duplicated at "error_legacy" for one release so pre-envelope clients
-// keep a string to read; see README for the deprecation schedule.
+// writeError writes the uniform error envelope.
 func (s *server) writeError(w http.ResponseWriter, code int, e *api.Error) {
 	gen := s.inc.Codebase().Generation()
 	writeErrorEnvelope(w, code, e, gen)
@@ -1082,9 +1014,8 @@ func writeErrorEnvelope(w http.ResponseWriter, code int, e *api.Error, gen int64
 	// which write through this path directly — carries the trace id the
 	// client can feed to GET /trace/{id}.
 	writeJSON(w, code, &api.ErrorResponse{
-		Err:         e,
-		LegacyError: e.Message,
-		Generation:  gen,
-		TraceID:     w.Header().Get(obs.TraceHeader),
+		Err:        e,
+		Generation: gen,
+		TraceID:    w.Header().Get(obs.TraceHeader),
 	})
 }

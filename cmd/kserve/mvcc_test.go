@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -115,12 +116,27 @@ func TestAsyncChangesetEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown token status = %d, want 404", resp.StatusCode)
 	}
-	var envelope api.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound || envelope.LegacyError == "" {
-		t.Fatalf("unknown token envelope = %+v, want code %q with legacy error", envelope, api.ErrNotFound)
+	var envelope api.ErrorResponse
+	if err := json.Unmarshal(raw, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if envelope.Err == nil || envelope.Err.Code != api.ErrNotFound {
+		t.Fatalf("unknown token envelope = %+v, want code %q", envelope, api.ErrNotFound)
+	}
+	// The envelope is exactly error, generation and trace_id: the flat
+	// legacy message key is gone.
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for k := range keys {
+		if k != "error" && k != "generation" && k != "trace_id" {
+			t.Fatalf("error body carries unexpected key %q: %s", k, raw)
+		}
 	}
 }
 

@@ -58,8 +58,8 @@ func (s *server) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(s.scansCanceled.Load()) })
 	reg.CounterFunc("reports_served_total", "Bug reports returned across all scans.",
 		func() float64 { return float64(s.reportsServed.Load()) })
-	reg.CounterFunc("corpus_mutations_total", "Corpus mutations applied (patches + changesets).",
-		func() float64 { return float64(s.patches.Load() + s.changesets.Load()) })
+	reg.CounterFunc("corpus_mutations_total", "Corpus mutations applied (changesets).",
+		func() float64 { return float64(s.changesets.Load()) })
 	reg.GaugeFunc("corpus_generation", "Corpus generation counter; bumps once per mutation.",
 		func() float64 { return float64(s.inc.Codebase().Generation()) })
 	reg.GaugeFunc("corpus_pinned_snapshots", "Superseded snapshot generations still pinned by in-flight scans.",

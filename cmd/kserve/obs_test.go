@@ -158,10 +158,11 @@ func TestIncludeTimingReturnsTimeline(t *testing.T) {
 // story — and the same id comes back in the response header.
 func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 	// kcached with its access log captured, exactly as main() wires it.
-	disk, err := store.NewDisk(t.TempDir())
+	disk, err := store.NewSegmentDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { disk.Close() })
 	var kcLog bytes.Buffer
 	kc := httptest.NewServer(store.AccessLog(log.New(&kcLog, "", 0), store.NewCacheServer(disk).Handler()))
 	t.Cleanup(kc.Close)
@@ -196,6 +197,12 @@ func TestTraceIDStitchesBothDaemonsLogs(t *testing.T) {
 	if sr.TraceID != traceID {
 		t.Fatalf("reply trace_id = %q, want %q", sr.TraceID, traceID)
 	}
+	// The access line is logged when the handler returns, which can be
+	// after the client has decoded a large reply: the terminating chunk
+	// is written only after the handler returns, so read to EOF first.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
 
 	// The scan's remote-tier round-trips carry the id to kcached; both
 	// daemons' logs now grep to the same trace.
@@ -226,10 +233,11 @@ func TestSlowScanLogEmitsTimeline(t *testing.T) {
 // disk tier + registered cache server) serves valid exposition with the
 // entry-request and store families the smoke test greps for.
 func TestKcachedMetricsExposition(t *testing.T) {
-	disk, err := store.NewDisk(t.TempDir())
+	disk, err := store.NewSegmentDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { disk.Close() })
 	reg := obs.NewRegistry("kcached")
 	cs := store.NewCacheServer(store.Instrument(reg, "disk", disk))
 	cs.Register(reg)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -84,6 +85,11 @@ func TestStressScansChangesetsAndSaturation(t *testing.T) {
 				default:
 					errs <- fmt.Sprintf("unexpected status %d", resp.StatusCode)
 				}
+				// Read to EOF before closing: a reply larger than
+				// net/http's pre-chunking buffer reaches the client while
+				// the handler (and its gate release) is still running,
+				// and the terminating chunk follows the handler's return.
+				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
 		}(g)

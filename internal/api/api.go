@@ -16,10 +16,7 @@
 //     generation and answers 409 (ErrGenerationUnavailable) with the
 //     current generation and a retry hint if it cannot.
 //   - Errors use the envelope {"error": {"code", "message",
-//     "retry_after_ms"}}. The old flat string key has been replaced by
-//     the envelope; for one release the bare message is duplicated at
-//     "error_legacy" for clients mid-migration (see README,
-//     "API envelope").
+//     "retry_after_ms"}}.
 package api
 
 import (
@@ -69,10 +66,6 @@ type Error struct {
 // ErrorResponse is every non-2xx body.
 type ErrorResponse struct {
 	Err *Error `json:"error"`
-	// LegacyError duplicates Err.Message where clients of the removed
-	// flat `"error": "<msg>"` shape can reach it with a one-key change.
-	// Deprecated: read Err instead; this field lasts one release.
-	LegacyError string `json:"error_legacy,omitempty"`
 	// Generation is the corpus generation at the time of the error —
 	// for ErrGenerationUnavailable, the generation the daemon is AT.
 	Generation int64 `json:"generation"`
@@ -231,32 +224,9 @@ type BatchResponse struct {
 	Timing  []obs.Span `json:"timing,omitempty"`
 }
 
-// PatchRequest is the POST /patch body. An empty Func replaces the
-// whole file with Source; otherwise Source must be a single function
-// that replaces Func within the file.
-type PatchRequest struct {
-	Path   string `json:"path"`
-	Func   string `json:"func,omitempty"`
-	Source string `json:"source"`
-}
-
-// PatchResponse reports what one mutation touched — and, critically,
-// what it did NOT: ChangedFuncs is exactly the number of functions the
-// next scan will miss on.
-type PatchResponse struct {
-	Path             string  `json:"path"`
-	Mode             string  `json:"mode"` // "patch" or "replace"
-	Funcs            int     `json:"funcs"`
-	ChangedFuncs     int     `json:"changed_funcs"`
-	StaleHashes      int     `json:"stale_hashes"`
-	StoreInvalidated int     `json:"store_invalidated"`
-	Generation       int64   `json:"generation"`
-	ElapsedMS        float64 `json:"elapsed_ms"`
-}
-
-// Change is one element of a changeset request. Each change follows
-// /patch semantics (empty func = whole-file replace, set func =
-// single-function patch).
+// Change is one element of a changeset request. An empty Func replaces
+// the whole file with Source; otherwise Source must be a single
+// function that replaces Func within the file.
 type Change struct {
 	Path   string `json:"path"`
 	Func   string `json:"func,omitempty"`
@@ -406,7 +376,6 @@ type StatsResponse struct {
 	PinnedSnapshots int         `json:"pinned_snapshots"`
 	Scans           int64       `json:"scans"`
 	Batches         int64       `json:"batches"`
-	Patches         int64       `json:"patches"`
 	Changesets      int64       `json:"changesets"`
 	AsyncChangesets int64       `json:"async_changesets"`
 	ScanErrors      int64       `json:"scan_errors"`

@@ -64,15 +64,17 @@ func (s *Snapshot) next(gen int64, work map[int]*minic.File) *Snapshot {
 		files[i] = nf
 	}
 	n := &Snapshot{
-		gen:        gen,
-		files:      files,
-		ctxHashes:  make([]string, len(files)),
-		funcHashes: make(map[[2]int]string, len(s.funcHashes)),
+		gen:       gen,
+		files:     files,
+		ctxHashes: make([]string, len(files)),
 	}
 	for _, f := range files {
 		n.numFuncs += len(f.Funcs)
 	}
+	// The memo is written by concurrent FuncHash calls on s, so even
+	// its length is read under hashMu.
 	s.hashMu.Lock()
+	n.funcHashes = make(map[[2]int]string, len(s.funcHashes))
 	copy(n.ctxHashes, s.ctxHashes)
 	for k, h := range s.funcHashes {
 		if _, touched := work[k[0]]; !touched {

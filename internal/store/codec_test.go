@@ -82,29 +82,33 @@ func TestResultCodecRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-// The disk tier must still read payloads written before the binary
-// codec existed (the file-per-entry migration path stores raw JSON).
-func TestSegmentDiskReadsLegacyJSONPayloads(t *testing.T) {
+// A segment record that does not start with the binary codec tag — a
+// JSON object ('{') or a zero byte — is unreadable: the disk tier
+// counts it as a miss and never panics or fabricates a result.
+func TestSegmentDiskMissesOnUntaggedPayloads(t *testing.T) {
 	d := newTestSegDisk(t, t.TempDir())
-	defer d.Close()
 
-	k := fkey("fLegacy", "ck")
-	want := result("legacy json payload")
-	data, err := json.Marshal(want)
+	jsonPayload, err := json.Marshal(result("json payload"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[0] == resultCodecV1 {
-		t.Fatal("test premise broken: JSON payload starts with the codec tag")
+	payloads := map[string][]byte{
+		"json":      jsonPayload,
+		"zero-byte": {0x00},
+		"zero-lead": append([]byte{0x00}, encodeResult(result("x"))[1:]...),
 	}
-	if err := d.eng.Put(k.ID(), segFuncTok(k.FuncHash), data); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := d.Get(bg, k)
-	if !ok {
-		t.Fatal("legacy JSON payload unreadable")
-	}
-	if !sameResult(t, got, want) {
-		t.Fatalf("legacy decode mismatch: %+v", got)
+	for name, data := range payloads {
+		k := fkey("f-"+name, "ck")
+		if err := d.eng.Put(k.ID(), segFuncTok(k.FuncHash), data); err != nil {
+			t.Fatal(err)
+		}
+		before := d.Stats()
+		if got, ok := d.Get(bg, k); ok || got != nil {
+			t.Fatalf("%s: untagged payload served as a hit: %+v", name, got)
+		}
+		after := d.Stats()
+		if after.Misses != before.Misses+1 || after.Hits != before.Hits {
+			t.Fatalf("%s: stats %+v -> %+v, want exactly one more miss", name, before, after)
+		}
 	}
 }

@@ -19,17 +19,17 @@ import (
 // Remote is the network cache tier: an HTTP client for a kcached daemon,
 // letting a fleet of kserve replicas share one content-addressed result
 // store. It implements Store and BulkInvalidator over the same key space
-// the disk tier uses, so the daemon is nothing more than store.Disk with
-// a socket in front.
+// the disk tier uses, so the daemon is a SegmentDisk with a socket in
+// front.
 //
-// The tier is strictly best-effort, like Disk: every failure mode — the
-// daemon down, a request timing out, a corrupt payload, the circuit
-// breaker open — degrades to a cache miss, never to a request error, so
-// a replica whose kcached disappears keeps serving from its local tiers
-// with zero failed scans. A circuit breaker bounds the cost of a dead or
-// slow daemon: after BreakerThreshold consecutive failures the tier
-// stops issuing requests for BreakerCooldown, then lets a single probe
-// through to test recovery.
+// The tier is strictly best-effort, like the local tiers: every failure
+// mode — the daemon down, a request timing out, a corrupt payload, the
+// circuit breaker open — degrades to a cache miss, never to a request
+// error, so a replica whose kcached disappears keeps serving from its
+// local tiers with zero failed scans. A circuit breaker bounds the cost
+// of a dead or slow daemon: after BreakerThreshold consecutive failures
+// the tier stops issuing requests for BreakerCooldown, then lets a
+// single probe through to test recovery.
 type Remote struct {
 	base   string
 	client *http.Client

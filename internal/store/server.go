@@ -57,7 +57,7 @@ type CacheServer struct {
 	traces *obs.TraceStore
 }
 
-// NewCacheServer wraps st (typically a *Disk) in the HTTP protocol.
+// NewCacheServer wraps st (typically a *SegmentDisk) in the HTTP protocol.
 func NewCacheServer(st Store) *CacheServer {
 	return &CacheServer{st: st, started: time.Now()}
 }

@@ -159,33 +159,9 @@ func TestMemoryBulkInvalidateOnePass(t *testing.T) {
 	}
 }
 
-func TestDiskRoundTripByteIdentical(t *testing.T) {
-	d, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := result("disk")
-	d.Put(bg, key(1), in)
-	got, ok := d.Get(bg, key(1))
-	if !ok {
-		t.Fatal("miss after put")
-	}
-	want, _ := json.Marshal(in)
-	have, _ := json.Marshal(got)
-	if string(want) != string(have) {
-		t.Fatalf("disk round trip not byte-identical:\n%s\n%s", want, have)
-	}
-	if s := d.Stats(); s.Entries != 1 || s.Puts != 1 || s.Hits != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 func TestTieredPromotesDiskHits(t *testing.T) {
 	mem := NewMemory(0)
-	disk, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	disk := newTestSegDisk(t, t.TempDir())
 	disk.Put(bg, key(1), result("warm-from-disk"))
 	tiered := NewTiered(mem, disk)
 

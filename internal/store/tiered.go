@@ -8,7 +8,7 @@ import (
 )
 
 // Tiered composes a fast front tier (typically Memory) with a larger
-// back tier (typically Disk). Gets probe front-to-back and promote back
+// back tier (typically SegmentDisk). Gets probe front-to-back and promote back
 // hits into the front tier; Puts write through to both.
 type Tiered struct {
 	front Store
